@@ -273,21 +273,14 @@ impl NodeFacts {
     }
 }
 
-/// Compute facts for `plan`'s output, recursing over the whole subtree.
-pub fn facts(plan: &LogicalPlan) -> NodeFacts {
-    let children: Vec<NodeFacts> = plan.children().iter().map(|c| facts(c)).collect();
-    node_facts(plan, &children)
-}
-
-/// Merged facts of all of `plan`'s children — the frame this node's own
+/// Merged facts of a node's children — the frame the node's own
 /// expressions evaluate against.
-pub fn input_facts(plan: &LogicalPlan) -> NodeFacts {
+pub(crate) fn input_frame<'a>(children: impl IntoIterator<Item = &'a NodeFacts>) -> NodeFacts {
     let mut out = NodeFacts::default();
-    for c in plan.children() {
-        let f = facts(&c);
+    for f in children {
         out.constraints.extend(f.constraints.iter().cloned());
         out.always_empty |= f.always_empty;
-        out.absorb(&f);
+        out.absorb(f);
     }
     out
 }
@@ -1264,14 +1257,12 @@ impl ConstraintAnalysis {
     /// Merged facts of node `id`'s children (the frame its expressions
     /// evaluate against).
     pub fn input_facts(&self, id: usize) -> NodeFacts {
-        let mut out = NodeFacts::default();
-        for &c in &self.nodes[id].children {
-            let f = &self.nodes[c].facts;
-            out.constraints.extend(f.constraints.iter().cloned());
-            out.always_empty |= f.always_empty;
-            out.absorb(f);
-        }
-        out
+        input_frame(
+            self.nodes[id]
+                .children
+                .iter()
+                .map(|&c| &self.nodes[c].facts),
+        )
     }
 }
 
@@ -1334,6 +1325,11 @@ mod tests {
     use super::*;
     use crate::expr::builders::{col, lit};
     use std::sync::Arc;
+
+    /// Facts for `plan`'s output.
+    fn facts(plan: &LogicalPlan) -> NodeFacts {
+        analyze_plan(plan).nodes.swap_remove(0).facts
+    }
 
     fn leaf(cols: &[(&str, DataType, bool)]) -> (LogicalPlan, Vec<ColumnRef>) {
         let output: Vec<ColumnRef> = cols

@@ -114,15 +114,15 @@ pub fn estimate_rows(plan: &LogicalPlan, idx: &StatsIndex) -> Option<f64> {
     match plan {
         LogicalPlan::UnresolvedRelation { .. } | LogicalPlan::External { .. } => None,
         LogicalPlan::Scan {
-            relation, filters, ..
+            relation,
+            output,
+            filters,
         } => {
-            let base = relation.row_count().map(|r| r as f64).or_else(|| {
-                relation
-                    .column_statistics()?
-                    .first()
-                    .and_then(|s| s.row_count)
-                    .map(|r| r as f64)
-            })?;
+            // Every column's statistics carry the same row count.
+            let base = relation
+                .row_count()
+                .or_else(|| output.iter().find_map(|c| idx.get(c.id)?.row_count))?
+                as f64;
             let mut sel = 1.0;
             for f in filters {
                 sel *= selectivity(f, idx);

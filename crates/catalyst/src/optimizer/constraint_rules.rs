@@ -27,13 +27,43 @@ use crate::plan::{JoinType, LogicalPlan};
 use crate::rules::Rule;
 use crate::tree::{Transformed, TreeNode};
 use crate::value::Value;
+use std::sync::Arc;
 
 use super::{conjunction, split_conjuncts};
 
-/// Merged facts of a node's children — the frame its expressions
-/// evaluate against.
-fn child_frame(plan: &LogicalPlan) -> NodeFacts {
-    constraints::input_facts(plan)
+/// A rewritten node paired with the facts of its output.
+type WithFacts = (Transformed<LogicalPlan>, NodeFacts);
+
+/// Bottom-up rewrite that carries facts up the walk: `rewrite` receives
+/// a node whose children are already rewritten, together with those
+/// children's facts, and returns the rewritten node with its own facts.
+/// Every node's facts are computed once per rule application, so a scan
+/// reads its source statistics once rather than once per ancestor.
+fn transform_up_with_facts(
+    plan: LogicalPlan,
+    rewrite: &mut dyn FnMut(LogicalPlan, Vec<NodeFacts>) -> WithFacts,
+) -> WithFacts {
+    let mut children = Vec::new();
+    let rebuilt = plan.map_children(&mut |c| {
+        let (t, f) = transform_up_with_facts(c, rewrite);
+        children.push(f);
+        t
+    });
+    let (t, f) = rewrite(rebuilt.data, children);
+    (t.or_changed(rebuilt.changed), f)
+}
+
+/// `t` with the facts of its node, given the facts of that node's
+/// children.
+fn with_facts(t: Transformed<LogicalPlan>, children: &[NodeFacts]) -> WithFacts {
+    let f = constraints::node_facts(&t.data, children);
+    (t, f)
+}
+
+/// An empty relation with `input`'s output attributes (which keeps
+/// parents resolved), with its facts.
+fn empty_like(input: &LogicalPlan) -> WithFacts {
+    with_facts(Transformed::yes(LogicalPlan::empty(input.output())), &[])
 }
 
 // ---------------------------------------------------------------------------
@@ -51,46 +81,52 @@ impl Rule<LogicalPlan> for PruneConstrainedFilters {
     }
 
     fn apply(&self, plan: LogicalPlan) -> Transformed<LogicalPlan> {
-        plan.transform_up(&mut |p| {
+        transform_up_with_facts(plan, &mut |p, mut children| {
             let LogicalPlan::Filter { input, predicate } = p else {
-                return Transformed::no(p);
+                return with_facts(Transformed::no(p), &children);
             };
             // Judge each conjunct against the input facts refined by the
             // conjuncts already accepted, so pairwise contradictions
             // (`a > 10 AND a < 5`) surface as an empty frame even though
             // neither conjunct is decidable alone.
-            let mut frame = constraints::facts(&input);
+            let mut frame = children[0].clone();
             let conjuncts = split_conjuncts(&predicate);
             let mut kept = Vec::with_capacity(conjuncts.len());
             let mut changed = false;
             for c in conjuncts {
                 match determine(&c, &frame) {
                     Determination::AlwaysTrue => changed = true,
-                    d if d.never_true() => {
-                        // Filter output == input output; an empty relation
-                        // with the same attributes keeps parents resolved.
-                        return Transformed::yes(LogicalPlan::empty(input.output()));
-                    }
+                    d if d.never_true() => return empty_like(&input),
                     _ => {
                         constraints::apply_conjunct(&mut frame, &c);
                         if frame.always_empty {
-                            return Transformed::yes(LogicalPlan::empty(input.output()));
+                            return empty_like(&input);
                         }
                         kept.push(c);
                     }
                 }
             }
             if !changed {
-                return Transformed::no(LogicalPlan::Filter { input, predicate });
+                return with_facts(
+                    Transformed::no(LogicalPlan::Filter { input, predicate }),
+                    &children,
+                );
             }
             match conjunction(kept) {
-                Some(pred) => Transformed::yes(LogicalPlan::Filter {
-                    input,
-                    predicate: pred,
-                }),
-                None => Transformed::yes(input.as_ref().clone()),
+                Some(pred) => with_facts(
+                    Transformed::yes(LogicalPlan::Filter {
+                        input,
+                        predicate: pred,
+                    }),
+                    &children,
+                ),
+                None => (
+                    Transformed::yes(input.as_ref().clone()),
+                    children.swap_remove(0),
+                ),
             }
         })
+        .0
     }
 }
 
@@ -114,16 +150,17 @@ impl Rule<LogicalPlan> for PropagateEmptyRelations {
     }
 
     fn apply(&self, plan: LogicalPlan) -> Transformed<LogicalPlan> {
-        plan.transform_up(&mut |p| {
-            if is_empty_relation(&p) || matches!(p, LogicalPlan::External { .. }) {
-                return Transformed::no(p);
+        transform_up_with_facts(plan, &mut |p, children| {
+            let (t, f) = with_facts(Transformed::no(p), &children);
+            if !f.always_empty
+                || is_empty_relation(&t.data)
+                || matches!(t.data, LogicalPlan::External { .. })
+            {
+                return (t, f);
             }
-            if constraints::facts(&p).always_empty {
-                let out = p.output();
-                return Transformed::yes(LogicalPlan::empty(out));
-            }
-            Transformed::no(p)
+            empty_like(&t.data)
         })
+        .0
     }
 }
 
@@ -144,16 +181,27 @@ impl Rule<LogicalPlan> for PropagateEmptyRelations {
 /// non-nullness (including via a previously inserted filter) is skipped.
 pub struct InferIsNotNullFilters;
 
-/// `IS NOT NULL c1 AND ... AND cN` over `input`, skipping columns the
-/// input already proves non-null. Returns `None` when nothing new.
-fn not_null_guard(input: &LogicalPlan, cols: &[ColumnRef]) -> Option<Expr> {
-    let facts = constraints::facts(input);
+/// Guard `input` with `IS NOT NULL c1 AND ... AND cN`, skipping columns
+/// its `facts` already prove non-null. Returns the (possibly guarded)
+/// input with its facts, and whether a guard was added.
+fn guard_not_null(
+    input: Arc<LogicalPlan>,
+    facts: NodeFacts,
+    cols: &[ColumnRef],
+) -> (Arc<LogicalPlan>, NodeFacts, bool) {
     let fresh: Vec<Expr> = cols
         .iter()
         .filter(|c| !facts.is_non_null(c))
         .map(|c| Expr::IsNotNull(Box::new(Expr::Column(c.clone()))))
         .collect();
-    conjunction(fresh)
+    match conjunction(fresh) {
+        Some(guard) => {
+            let guarded = input.as_ref().clone().filter(guard);
+            let guarded_facts = constraints::node_facts(&guarded, &[facts]);
+            (Arc::new(guarded), guarded_facts, true)
+        }
+        None => (input, facts, false),
+    }
 }
 
 impl Rule<LogicalPlan> for InferIsNotNullFilters {
@@ -162,7 +210,7 @@ impl Rule<LogicalPlan> for InferIsNotNullFilters {
     }
 
     fn apply(&self, plan: LogicalPlan) -> Transformed<LogicalPlan> {
-        plan.transform_up(&mut |p| match p {
+        transform_up_with_facts(plan, &mut |p, children| match p {
             LogicalPlan::Join {
                 left,
                 right,
@@ -189,28 +237,17 @@ impl Rule<LogicalPlan> for InferIsNotNullFilters {
                     JoinType::Right => (true, false),
                     JoinType::Full | JoinType::Cross => (false, false),
                 };
-                let mut changed = false;
-                let left = if filter_left {
-                    match not_null_guard(&left, &on_side(&left_out)) {
-                        Some(g) => {
-                            changed = true;
-                            std::sync::Arc::new(left.as_ref().clone().filter(g))
-                        }
-                        None => left,
-                    }
+                let [left_facts, right_facts]: [NodeFacts; 2] =
+                    children.try_into().expect("a join has two children");
+                let (left, left_facts, left_changed) = if filter_left {
+                    guard_not_null(left, left_facts, &on_side(&left_out))
                 } else {
-                    left
+                    (left, left_facts, false)
                 };
-                let right = if filter_right {
-                    match not_null_guard(&right, &on_side(&right_out)) {
-                        Some(g) => {
-                            changed = true;
-                            std::sync::Arc::new(right.as_ref().clone().filter(g))
-                        }
-                        None => right,
-                    }
+                let (right, right_facts, right_changed) = if filter_right {
+                    guard_not_null(right, right_facts, &on_side(&right_out))
                 } else {
-                    right
+                    (right, right_facts, false)
                 };
                 let rebuilt = LogicalPlan::Join {
                     left,
@@ -218,32 +255,35 @@ impl Rule<LogicalPlan> for InferIsNotNullFilters {
                     join_type,
                     condition: Some(cond),
                 };
-                if changed {
+                let t = if left_changed || right_changed {
                     Transformed::yes(rebuilt)
                 } else {
                     Transformed::no(rebuilt)
-                }
+                };
+                with_facts(t, &[left_facts, right_facts])
             }
             LogicalPlan::Filter { input, predicate } => {
                 let rejected = null_rejected_columns(&predicate);
                 let already: Vec<Expr> = split_conjuncts(&predicate);
-                let facts = constraints::facts(&input);
+                let facts = &children[0];
                 let fresh: Vec<Expr> = rejected
                     .iter()
                     .filter(|c| !facts.is_non_null(c))
                     .map(|c| Expr::IsNotNull(Box::new(Expr::Column(c.clone()))))
                     .filter(|e| !already.contains(e))
                     .collect();
-                match conjunction(fresh) {
+                let t = match conjunction(fresh) {
                     Some(extra) => Transformed::yes(LogicalPlan::Filter {
                         input,
                         predicate: extra.and(predicate),
                     }),
                     None => Transformed::no(LogicalPlan::Filter { input, predicate }),
-                }
+                };
+                with_facts(t, &children)
             }
-            other => Transformed::no(other),
+            other => with_facts(Transformed::no(other), &children),
         })
+        .0
     }
 }
 
@@ -284,14 +324,14 @@ impl Rule<LogicalPlan> for SimplifyDomainComparisons {
     }
 
     fn apply(&self, plan: LogicalPlan) -> Transformed<LogicalPlan> {
-        plan.transform_up(&mut |p| {
+        transform_up_with_facts(plan, &mut |p, children| {
             // Scan filters evaluate against the base relation, not a
             // child node; leave them to the scan's own machinery.
             if matches!(p, LogicalPlan::Scan { .. }) {
-                return Transformed::no(p);
+                return with_facts(Transformed::no(p), &children);
             }
-            let frame = child_frame(&p);
-            p.map_expressions(&mut |e| {
+            let frame = constraints::input_frame(&children);
+            let t = p.map_expressions(&mut |e| {
                 e.transform_up(&mut |sub| {
                     if !is_decidable_shape(&sub) || sub.foldable() {
                         return Transformed::no(sub);
@@ -306,8 +346,10 @@ impl Rule<LogicalPlan> for SimplifyDomainComparisons {
                         _ => Transformed::no(sub),
                     }
                 })
-            })
+            });
+            with_facts(t, &children)
         })
+        .0
     }
 }
 

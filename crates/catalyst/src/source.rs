@@ -20,7 +20,7 @@ use crate::row::Row;
 use crate::schema::SchemaRef;
 use crate::value::Value;
 use std::any::Any;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Boxed row iterator produced by one scan partition.
 pub type RowIter = Box<dyn Iterator<Item = Row> + Send>;
@@ -249,6 +249,8 @@ pub struct MemoryTable {
     name: String,
     schema: SchemaRef,
     partitions: Vec<Arc<Vec<Row>>>,
+    /// Column statistics, computed on first use: the rows never change.
+    stats: OnceLock<Option<Vec<ColumnStatistics>>>,
 }
 
 impl MemoryTable {
@@ -273,6 +275,7 @@ impl MemoryTable {
             name: name.into(),
             schema,
             partitions,
+            stats: OnceLock::new(),
         }
     }
 
@@ -285,46 +288,10 @@ impl MemoryTable {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
 
-impl BaseRelation for MemoryTable {
-    fn name(&self) -> String {
-        self.name.clone()
-    }
-
-    fn schema(&self) -> SchemaRef {
-        self.schema.clone()
-    }
-
-    fn size_in_bytes(&self) -> Option<u64> {
-        Some(self.len() as u64 * self.schema.approx_row_bytes())
-    }
-
-    fn row_count(&self) -> Option<u64> {
-        Some(self.len() as u64)
-    }
-
-    fn capability(&self) -> ScanCapability {
-        ScanCapability::TableScan
-    }
-
-    fn num_partitions(&self) -> usize {
-        self.partitions.len()
-    }
-
-    fn scan_partition(
-        &self,
-        partition: usize,
-        _projection: Option<&[usize]>,
-        _filters: &[Filter],
-    ) -> Result<RowIter> {
-        let rows = self.partitions[partition].clone();
-        Ok(Box::new((0..rows.len()).map(move |i| rows[i].clone())))
-    }
-
-    fn column_statistics(&self) -> Option<Vec<ColumnStatistics>> {
+    fn compute_statistics(&self) -> Option<Vec<ColumnStatistics>> {
         // Exact single-pass stats; skipped for very large tables to keep
-        // planning cheap.
+        // the first plan over them cheap.
         const STATS_CAP: usize = 65_536;
         let total = self.len() as u64;
         if total as usize > STATS_CAP {
@@ -364,6 +331,46 @@ impl BaseRelation for MemoryTable {
             s.ndv = Some(sk.estimate());
         }
         Some(out)
+    }
+}
+
+impl BaseRelation for MemoryTable {
+    fn name(&self) -> String {
+        self.name.clone()
+    }
+
+    fn schema(&self) -> SchemaRef {
+        self.schema.clone()
+    }
+
+    fn size_in_bytes(&self) -> Option<u64> {
+        Some(self.len() as u64 * self.schema.approx_row_bytes())
+    }
+
+    fn row_count(&self) -> Option<u64> {
+        Some(self.len() as u64)
+    }
+
+    fn capability(&self) -> ScanCapability {
+        ScanCapability::TableScan
+    }
+
+    fn num_partitions(&self) -> usize {
+        self.partitions.len()
+    }
+
+    fn scan_partition(
+        &self,
+        partition: usize,
+        _projection: Option<&[usize]>,
+        _filters: &[Filter],
+    ) -> Result<RowIter> {
+        let rows = self.partitions[partition].clone();
+        Ok(Box::new((0..rows.len()).map(move |i| rows[i].clone())))
+    }
+
+    fn column_statistics(&self) -> Option<Vec<ColumnStatistics>> {
+        self.stats.get_or_init(|| self.compute_statistics()).clone()
     }
 
     fn as_any(&self) -> &dyn Any {

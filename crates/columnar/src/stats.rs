@@ -122,48 +122,46 @@ impl ColumnStats {
     }
 }
 
-/// Aggregate per-batch column stats into relation-level
-/// [`catalyst::source::ColumnStatistics`], one entry per column — what a
-/// columnar source reports to the constraint pass. Returns `None` when
-/// there are no batches (no information, not an empty relation).
-pub fn relation_statistics<'a>(
+/// Merge each column's per-batch stats over `batches` into one summary
+/// per column, in schema order. Zero batches give empty summaries
+/// (zero rows), not unknown ones.
+pub fn summarize<'a>(
     batches: impl IntoIterator<Item = &'a crate::ColumnarBatch>,
     num_columns: usize,
-) -> Option<Vec<catalyst::source::ColumnStatistics>> {
-    let mut merged: Vec<ColumnStats> = vec![ColumnStats::default(); num_columns];
-    let mut any = false;
+) -> Vec<ColumnStats> {
+    let mut merged = vec![ColumnStats::default(); num_columns];
     for b in batches {
-        any = true;
         for (i, m) in merged.iter_mut().enumerate() {
             m.merge(b.stats(i));
         }
     }
-    if !any {
-        // Zero batches means zero rows — report exact empty statistics.
-        return Some(
-            (0..num_columns)
-                .map(|_| catalyst::source::ColumnStatistics {
-                    null_count: Some(0),
-                    row_count: Some(0),
-                    ndv: Some(0),
-                    ..Default::default()
-                })
-                .collect(),
-        );
+    merged
+}
+
+/// Aggregate per-batch column stats into relation-level
+/// [`catalyst::source::ColumnStatistics`], one entry per column — what a
+/// columnar source reports to the constraint pass.
+pub fn relation_statistics<'a>(
+    batches: impl IntoIterator<Item = &'a crate::ColumnarBatch>,
+    num_columns: usize,
+) -> Vec<catalyst::source::ColumnStatistics> {
+    summarize(batches, num_columns)
+        .into_iter()
+        .map(Into::into)
+        .collect()
+}
+
+impl From<ColumnStats> for catalyst::source::ColumnStatistics {
+    fn from(s: ColumnStats) -> Self {
+        catalyst::source::ColumnStatistics {
+            min: s.min,
+            max: s.max,
+            null_count: Some(s.null_count),
+            row_count: Some(s.row_count),
+            ndv: Some(s.ndv.estimate()),
+            partial: false,
+        }
     }
-    Some(
-        merged
-            .into_iter()
-            .map(|s| catalyst::source::ColumnStatistics {
-                min: s.min,
-                max: s.max,
-                null_count: Some(s.null_count),
-                row_count: Some(s.row_count),
-                ndv: Some(s.ndv.estimate()),
-                partial: false,
-            })
-            .collect(),
-    )
 }
 
 #[cfg(test)]

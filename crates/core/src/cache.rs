@@ -20,6 +20,7 @@ use catalyst::error::{CatalystError, Result};
 use catalyst::row::Row;
 use catalyst::schema::SchemaRef;
 use catalyst::source::{BaseRelation, BatchIter, Filter, RowIter, ScanCapability};
+use columnar::stats::ColumnStats;
 use columnar::{batch_rows, ColumnarBatch};
 use engine::metrics::Metrics;
 use engine::rdd::RddId;
@@ -27,8 +28,23 @@ use engine::SparkContext;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+/// One cached partition: its data plus a planning summary computed once,
+/// when the block is encoded. Planning reads the summary by reference,
+/// so it never touches the data; an evicted block takes its summary
+/// with it, which is why nothing needs invalidating.
+struct CachedPartition {
+    data: PartitionData,
+    /// Encoded footprint, also what the block is charged against the
+    /// cache budget.
+    bytes: u64,
+    rows: u64,
+    /// One summary per column, merged over the block's batches (empty
+    /// for row-cached blocks).
+    stats: Vec<ColumnStats>,
+}
+
 /// Materialized form of one cached partition.
-enum CachedPartition {
+enum PartitionData {
     Columnar(Arc<Vec<ColumnarBatch>>),
     Rows(Arc<Vec<Row>>),
 }
@@ -95,14 +111,30 @@ impl CachedRelation {
 
     fn encode(&self, rows: Vec<Row>) -> CachedPartition {
         if self.columnar {
-            CachedPartition::Columnar(Arc::new(batch_rows(
-                self.schema.clone(),
-                rows,
-                self.batch_size,
-            )))
+            let batches = batch_rows(self.schema.clone(), rows, self.batch_size);
+            CachedPartition {
+                bytes: batches.iter().map(ColumnarBatch::bytes).sum(),
+                rows: batches.iter().map(|b| b.num_rows() as u64).sum(),
+                stats: columnar::stats::summarize(&batches, self.schema.len()),
+                data: PartitionData::Columnar(Arc::new(batches)),
+            }
         } else {
-            CachedPartition::Rows(Arc::new(rows))
+            CachedPartition {
+                bytes: rows.iter().map(Row::approx_bytes).sum(),
+                rows: rows.len() as u64,
+                stats: Vec::new(),
+                data: PartitionData::Rows(Arc::new(rows)),
+            }
         }
+    }
+
+    /// The resident block of `partition`, if any. Never materializes.
+    fn resident(&self, partition: usize) -> Option<Arc<CachedPartition>> {
+        self.sc
+            .cache_manager()
+            .get(self.cache_id, partition)?
+            .downcast::<CachedPartition>()
+            .ok()
     }
 
     /// Ensure every partition is resident, re-running the materializer
@@ -137,12 +169,7 @@ impl CachedRelation {
             // Sized puts participate in the cache budget: under
             // `spark.sql.cache.budgetBytes` the store may evict other
             // blocks (policy-chosen) to admit this one.
-            let bytes = match &block {
-                CachedPartition::Columnar(batches) => {
-                    batches.iter().map(ColumnarBatch::bytes).sum::<u64>()
-                }
-                CachedPartition::Rows(rows) => rows.iter().map(Row::approx_bytes).sum(),
-            };
+            let bytes = block.bytes;
             cm.put_sized(self.cache_id, p, Arc::new(block), p % slots, bytes);
         }
         self.ever_filled.store(true, Ordering::SeqCst);
@@ -197,22 +224,12 @@ impl CachedRelation {
     /// executor loss the relation simply reports unknown until the next
     /// scan refills it.
     fn resident_footprint(&self) -> Option<(u64, u64)> {
-        let cm = self.sc.cache_manager();
         let mut bytes = 0u64;
         let mut rows = 0u64;
         for p in 0..self.num_partitions {
-            let block = cm.get(self.cache_id, p)?;
-            let part = block.downcast::<CachedPartition>().ok()?;
-            match part.as_ref() {
-                CachedPartition::Columnar(batches) => {
-                    bytes += batches.iter().map(ColumnarBatch::bytes).sum::<u64>();
-                    rows += batches.iter().map(|b| b.num_rows() as u64).sum::<u64>();
-                }
-                CachedPartition::Rows(r) => {
-                    bytes += r.iter().map(Row::approx_bytes).sum::<u64>();
-                    rows += r.len() as u64;
-                }
-            }
+            let block = self.resident(p)?;
+            bytes += block.bytes;
+            rows += block.rows;
         }
         Some((bytes, rows))
     }
@@ -222,12 +239,7 @@ impl CachedRelation {
         self.ensure()?;
         let mut total = 0u64;
         for p in 0..self.num_partitions {
-            total += match &*self.partition(p)?.expect("in range") {
-                CachedPartition::Columnar(batches) => {
-                    batches.iter().map(ColumnarBatch::bytes).sum::<u64>()
-                }
-                CachedPartition::Rows(rows) => rows.iter().map(Row::approx_bytes).sum(),
-            };
+            total += self.partition(p)?.expect("in range").bytes;
         }
         Ok(total)
     }
@@ -237,12 +249,7 @@ impl CachedRelation {
         self.ensure()?;
         let mut total = 0u64;
         for p in 0..self.num_partitions {
-            total += match &*self.partition(p)?.expect("in range") {
-                CachedPartition::Columnar(batches) => {
-                    batches.iter().map(|b| b.num_rows() as u64).sum::<u64>()
-                }
-                CachedPartition::Rows(rows) => rows.len() as u64,
-            };
+            total += self.partition(p)?.expect("in range").rows;
         }
         Ok(total)
     }
@@ -289,30 +296,29 @@ impl BaseRelation for CachedRelation {
         if !self.columnar {
             return None;
         }
-        let cm = self.sc.cache_manager();
-        let mut batches: Vec<columnar::ColumnarBatch> = Vec::new();
+        let mut merged = vec![ColumnStats::default(); self.schema.len()];
         let mut missing = 0usize;
         for p in 0..self.num_partitions {
-            let Some(slot) = cm.get(self.cache_id, p) else {
+            let Some(block) = self.resident(p) else {
                 missing += 1;
                 continue;
             };
-            let part = slot.downcast::<CachedPartition>().ok()?;
-            match part.as_ref() {
-                CachedPartition::Columnar(bs) => batches.extend(bs.iter().cloned()),
-                CachedPartition::Rows(_) => return None,
+            for (m, s) in merged.iter_mut().zip(&block.stats) {
+                m.merge(s);
             }
         }
         if missing == self.num_partitions {
             return None;
         }
-        let mut stats = columnar::stats::relation_statistics(batches.iter(), self.schema.len())?;
-        if missing > 0 {
-            for s in &mut stats {
-                s.partial = true;
-            }
-        }
-        Some(stats)
+        Some(
+            merged
+                .into_iter()
+                .map(|s| catalyst::source::ColumnStatistics {
+                    partial: missing > 0,
+                    ..s.into()
+                })
+                .collect(),
+        )
     }
 
     fn num_partitions(&self) -> usize {
@@ -328,12 +334,12 @@ impl BaseRelation for CachedRelation {
         let Some(part) = self.partition(partition)? else {
             return Ok(Box::new(std::iter::empty()));
         };
-        match &*part {
-            CachedPartition::Rows(rows) => {
+        match &part.data {
+            PartitionData::Rows(rows) => {
                 let rows = rows.clone();
                 Ok(Box::new((0..rows.len()).map(move |i| rows[i].clone())))
             }
-            CachedPartition::Columnar(batches) => {
+            PartitionData::Columnar(batches) => {
                 // Batch skipping via statistics; then decode only the
                 // columns the projection and the filters actually touch.
                 let mut out: Vec<Row> = Vec::new();
@@ -387,7 +393,7 @@ impl BaseRelation for CachedRelation {
         let Some(part) = self.partition(partition)? else {
             return Ok(None);
         };
-        let CachedPartition::Columnar(batches) = &*part else {
+        let PartitionData::Columnar(batches) = &part.data else {
             // Row-cached partitions use the generic row→batch adapter in
             // the executor.
             return Ok(None);

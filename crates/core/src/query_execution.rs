@@ -170,6 +170,14 @@ impl QueryExecution {
     /// as engine-counter deltas, and a [`QueryLogEntry`] is appended to
     /// the session query log.
     pub fn collect(&self) -> Result<Vec<Row>> {
+        let (rows, entry) = self.run_recorded()?;
+        self.ctx.log_query(entry);
+        Ok(rows)
+    }
+
+    /// Execute and gather all rows, returning them with this run's
+    /// query-log entry (not yet appended to the session log).
+    fn run_recorded(&self) -> Result<(Vec<Row>, QueryLogEntry)> {
         let before = self.ctx.spark_context().metrics().snapshot();
         let cache_before = self.ctx.spark_context().cache_manager().budget_stats();
         // Install the cancel token on the driver thread so the engine
@@ -194,15 +202,17 @@ impl QueryExecution {
             &cache_before,
             &self.ctx.spark_context().cache_manager().budget_stats(),
         );
-        self.ctx
-            .log_query(self.log_entry(wall_ns, rows.len() as u64, recovery, memory, cache));
-        Ok(rows)
+        let entry = self.log_entry(wall_ns, rows.len() as u64, recovery, memory, cache);
+        Ok((rows, entry))
     }
 
     /// Run the query and render the physical tree annotated with actual
-    /// rows and times per operator — `EXPLAIN ANALYZE`.
+    /// rows and times per operator — `EXPLAIN ANALYZE`. The totals come
+    /// from this run's own query-log entry, even while other queries of
+    /// the session run concurrently.
     pub fn explain_analyze(&self) -> Result<String> {
-        let rows = self.collect()?;
+        let (rows, entry) = self.run_recorded()?;
+        self.ctx.log_query(entry.clone());
         let changes = self.adaptive_changes();
         let mut out = String::new();
         out.push_str(&format!(
@@ -230,21 +240,17 @@ impl QueryExecution {
                 &self.metrics,
             ));
         }
-        let entry = self.ctx.query_log().pop();
-        let (wall, recovery, memory, cache) = entry
-            .map(|e| (e.wall_ns, e.recovery, e.memory, e.cache))
-            .unwrap_or((0, RecoveryEvents::default(), None, CacheEvents::default()));
-        if recovery.any() {
+        if entry.recovery.any() {
             out.push_str("== Fault Recovery ==\n");
-            out.push_str(&recovery.render());
+            out.push_str(&entry.recovery.render());
         }
-        if let Some(m) = memory {
+        if let Some(m) = &entry.memory {
             out.push_str("== Memory ==\n");
-            out.push_str(&render_memory(&m));
+            out.push_str(&render_memory(m));
         }
-        if cache.any() {
+        if entry.cache.any() {
             out.push_str("== Cache ==\n");
-            out.push_str(&cache.render());
+            out.push_str(&entry.cache.render());
         }
         let lint = catalyst::analysis::lint::lint_plan_at_level(
             &self.analyzed,
@@ -260,7 +266,7 @@ impl QueryExecution {
         out.push_str(&format!(
             "== Totals ==\noutput rows: {}, wall time: {}\n",
             rows.len(),
-            format_ns(wall),
+            format_ns(entry.wall_ns),
         ));
         Ok(out)
     }

@@ -2,11 +2,12 @@
 //! metrics, `EXPLAIN ANALYZE`, the session query log) and the unified
 //! reader/writer builders.
 
-use catalyst::physical::metrics::subtree_size;
+use catalyst::physical::metrics::{format_ns, subtree_size};
 use catalyst::value::Value;
 use catalyst::Row;
 use spark_sql::prelude::*;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 
 fn users(ctx: &SQLContext) -> DataFrame {
     let schema = Arc::new(Schema::new(vec![
@@ -140,6 +141,45 @@ fn query_log_records_instrumented_runs() {
     ctx.clear_query_log();
     assert!(ctx.query_log().is_empty());
     assert_eq!(ctx.query_log_json(), "[]");
+}
+
+/// Two queries of one session in flight at once: every EXPLAIN ANALYZE
+/// reports the totals of its own run, never those of a query that
+/// finished in between.
+#[test]
+fn explain_analyze_reports_its_own_run_while_another_query_runs() {
+    const ROUNDS: usize = 24;
+    let ctx = SQLContext::new_local(2);
+    let slow = multi_stage(&ctx).query_execution().unwrap();
+    let fast = users(&ctx).query_execution().unwrap();
+    let start = Barrier::new(2);
+    let done = AtomicBool::new(false);
+    let texts: Vec<String> = std::thread::scope(|s| {
+        s.spawn(|| {
+            start.wait();
+            while !done.load(Ordering::SeqCst) {
+                fast.collect().unwrap();
+            }
+        });
+        start.wait();
+        let texts = (0..ROUNDS)
+            .map(|_| slow.explain_analyze().unwrap())
+            .collect();
+        done.store(true, Ordering::SeqCst);
+        texts
+    });
+
+    let log = ctx.query_log();
+    assert!(log.iter().any(|e| e.query_id == fast.query_id()));
+    let own: Vec<_> = log
+        .iter()
+        .filter(|e| e.query_id == slow.query_id())
+        .collect();
+    assert_eq!(own.len(), ROUNDS);
+    for (text, entry) in texts.iter().zip(own) {
+        let wall = format!("wall time: {}\n", format_ns(entry.wall_ns));
+        assert!(text.contains(&wall), "expected `{wall}` in:\n{text}");
+    }
 }
 
 #[test]

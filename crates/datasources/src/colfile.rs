@@ -86,6 +86,9 @@ pub struct ColFileRelation {
     name: String,
     file: ColFile,
     bytes: u64,
+    /// Footer statistics merged over every row group, once at open: the
+    /// file is immutable, so they never go stale.
+    stats: Vec<catalyst::source::ColumnStatistics>,
     /// Row groups skipped via statistics since creation (observability
     /// for tests and the ablation bench).
     groups_skipped: AtomicU64,
@@ -97,10 +100,13 @@ impl ColFileRelation {
     /// Wrap parsed bytes.
     pub fn from_bytes(name: impl Into<String>, data: Bytes) -> Result<Self> {
         let bytes = data.len() as u64;
+        let file = read_colfile(data)?;
+        let stats = columnar::stats::relation_statistics(file.groups.iter(), file.schema.len());
         Ok(ColFileRelation {
             name: name.into(),
-            file: read_colfile(data)?,
+            file,
             bytes,
+            stats,
             groups_skipped: AtomicU64::new(0),
             groups_read: AtomicU64::new(0),
         })
@@ -154,7 +160,7 @@ impl BaseRelation for ColFileRelation {
     }
 
     fn column_statistics(&self) -> Option<Vec<catalyst::source::ColumnStatistics>> {
-        columnar::stats::relation_statistics(self.file.groups.iter(), self.file.schema.len())
+        Some(self.stats.clone())
     }
 
     fn capability(&self) -> ScanCapability {

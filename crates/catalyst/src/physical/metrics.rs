@@ -85,9 +85,9 @@ impl OperatorMetrics {
         self.shuffle_ids.lock().unwrap().push(id);
     }
 
-    /// Shuffle ids this operator induced.
-    pub fn shuffle_ids(&self) -> Vec<usize> {
-        self.shuffle_ids.lock().unwrap().clone()
+    /// Take the shuffle ids this operator induced since the last take.
+    pub fn take_shuffle_ids(&self) -> Vec<usize> {
+        std::mem::take(&mut *self.shuffle_ids.lock().unwrap())
     }
 }
 

@@ -27,8 +27,23 @@ use catalyst::value::Value;
 use datasources::{CsvOptions, DataSourceRegistry, JsonRelation, Options};
 use engine::{RddRef, SparkContext};
 use parking_lot::{Mutex, RwLock};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Runs a session's query log keeps. A long-lived session (the SQL
+/// service runs every statement instrumented) drops its oldest entries
+/// beyond this, so the log's memory stays bounded; the count of dropped
+/// entries is reported with the log.
+pub const QUERY_LOG_CAPACITY: usize = 1000;
+
+/// The newest [`QUERY_LOG_CAPACITY`] instrumented runs of a session.
+#[derive(Default)]
+struct QueryLog {
+    entries: VecDeque<QueryLogEntry>,
+    /// Entries pushed out by newer ones since the last clear.
+    dropped: u64,
+}
 
 struct CtxInner {
     sc: SparkContext,
@@ -46,7 +61,7 @@ struct CtxInner {
     /// Plans saved by `CACHE TABLE` so `UNCACHE` can restore them.
     uncached_plans: Mutex<std::collections::HashMap<String, LogicalPlan>>,
     /// Instrumented runs recorded by `QueryExecution::collect`.
-    query_log: Mutex<Vec<QueryLogEntry>>,
+    query_log: Mutex<QueryLog>,
     /// Stable id stamped on this session's query-log entries. `"local"`
     /// for library use; the SQL service assigns `s1`, `s2`, ….
     session_id: String,
@@ -75,7 +90,7 @@ impl SQLContext {
                 strategies: RwLock::new(Vec::new()),
                 optimizer: Mutex::new(Optimizer::new()),
                 uncached_plans: Mutex::new(std::collections::HashMap::new()),
-                query_log: Mutex::new(Vec::new()),
+                query_log: Mutex::default(),
                 session_id: "local".to_string(),
                 next_query_id: AtomicU64::new(1),
             }),
@@ -107,7 +122,7 @@ impl SQLContext {
                 strategies: RwLock::new(self.inner.strategies.read().clone()),
                 optimizer: Mutex::new(Optimizer::new()),
                 uncached_plans: Mutex::new(std::collections::HashMap::new()),
-                query_log: Mutex::new(Vec::new()),
+                query_log: Mutex::default(),
                 session_id: session_id.into(),
                 next_query_id: AtomicU64::new(1),
             }),
@@ -340,32 +355,50 @@ impl SQLContext {
     // ---- query log ----
 
     /// Record one instrumented run (called by `QueryExecution::collect`).
+    /// A full log drops its oldest entry to make room.
     pub(crate) fn log_query(&self, entry: QueryLogEntry) {
-        self.inner.query_log.lock().push(entry);
+        let mut log = self.inner.query_log.lock();
+        if log.entries.len() >= QUERY_LOG_CAPACITY {
+            log.entries.pop_front();
+            log.dropped += 1;
+        }
+        log.entries.push_back(entry);
     }
 
     /// Snapshot of the session query log: one entry per instrumented run
-    /// (`collect` on a `QueryExecution`, or `explain_analyze`).
+    /// (`collect` on a `QueryExecution`, or `explain_analyze`), oldest
+    /// first, at most [`QUERY_LOG_CAPACITY`] of them.
     pub fn query_log(&self) -> Vec<QueryLogEntry> {
-        self.inner.query_log.lock().clone()
-    }
-
-    /// Drop every recorded query log entry.
-    pub fn clear_query_log(&self) {
-        self.inner.query_log.lock().clear();
-    }
-
-    /// The query log rendered as a JSON array, for dumping from
-    /// benchmark harnesses.
-    pub fn query_log_json(&self) -> String {
-        let entries: Vec<String> = self
-            .inner
+        self.inner
             .query_log
             .lock()
+            .entries
             .iter()
-            .map(QueryLogEntry::to_json)
-            .collect();
-        format!("[{}]", entries.join(","))
+            .cloned()
+            .collect()
+    }
+
+    /// Entries the query log dropped to stay within
+    /// [`QUERY_LOG_CAPACITY`] since it was created or last cleared.
+    pub fn query_log_dropped(&self) -> u64 {
+        self.inner.query_log.lock().dropped
+    }
+
+    /// Drop every recorded query log entry and reset the dropped count.
+    pub fn clear_query_log(&self) {
+        *self.inner.query_log.lock() = QueryLog::default();
+    }
+
+    /// The query log rendered as JSON, for dumping from benchmark
+    /// harnesses: `{"dropped":N,"entries":[...]}`.
+    pub fn query_log_json(&self) -> String {
+        let log = self.inner.query_log.lock();
+        let entries: Vec<String> = log.entries.iter().map(QueryLogEntry::to_json).collect();
+        format!(
+            "{{\"dropped\":{},\"entries\":[{}]}}",
+            log.dropped,
+            entries.join(",")
+        )
     }
 
     // ---- SQL ----

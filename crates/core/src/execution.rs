@@ -27,9 +27,9 @@ use catalyst::types::DataType;
 use catalyst::validation::PlanValidator;
 use catalyst::value::Value;
 use catalyst::vectorized::{self, RowBatch};
-use engine::shuffle::SizeFn;
+use engine::shuffle::{as_base, SizeFn};
 use engine::{
-    HashPartitioner, MaterializedShuffle, MemoryPool, PairRdd, RangePartitioner, RddRef,
+    HashPartitioner, MaterializedShuffle, MemoryPool, PairRdd, RangePartitioner, RddBase, RddRef,
     ShuffleReadSpec, SparkContext,
 };
 use std::cmp::Ordering;
@@ -87,6 +87,14 @@ pub struct ExecContext {
     /// the task with [`engine::CancelSignal`], releasing reservations and
     /// spill files on the way out.
     pub cancel: Option<engine::CancelToken>,
+    /// When instrumented, every operator's lowered RDD. A shuffle's output
+    /// and per-shuffle stats live only as long as some RDD reads it, and
+    /// an operator that consumes a child eagerly while lowering (a
+    /// broadcast build, a top-k, an adaptive demotion probe) drops its
+    /// handle at once. Holding the RDDs here keeps those shuffles'
+    /// stats readable until the run is attributed; the context is
+    /// dropped after that.
+    lowered: Mutex<Vec<Arc<dyn RddBase>>>,
 }
 
 /// Build the execution's memory pool from session configuration.
@@ -108,6 +116,7 @@ impl ExecContext {
             adaptive: AdaptiveLog::default(),
             mem,
             cancel: None,
+            lowered: Mutex::new(Vec::new()),
         }
     }
 
@@ -121,6 +130,15 @@ impl ExecContext {
             adaptive: AdaptiveLog::default(),
             mem,
             cancel: None,
+            lowered: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Keep `rdd` (and the shuffles in its lineage) alive for as long as
+    /// this context, when the run is instrumented.
+    fn keep_for_attribution<T: engine::Data>(&self, rdd: &RddRef<T>) {
+        if self.metrics.is_some() {
+            self.lowered.lock().unwrap().push(as_base(rdd.as_inner()));
         }
     }
 
@@ -595,6 +613,12 @@ pub fn execute(plan: &PhysicalPlan, ctx: &ExecContext) -> Result<RddRef<Row>> {
 /// enclosing window, so each shuffle lands on the operator that induced
 /// the exchange (sort, aggregate, shuffled join, distinct).
 fn execute_node(plan: &PhysicalPlan, id: usize, ctx: &ExecContext) -> Result<RddRef<Row>> {
+    let rdd = lower_node(plan, id, ctx)?;
+    ctx.keep_for_attribution(&rdd);
+    Ok(rdd)
+}
+
+fn lower_node(plan: &PhysicalPlan, id: usize, ctx: &ExecContext) -> Result<RddRef<Row>> {
     if ctx.conf.vectorize_enabled {
         if let Some(batched) = try_execute_batched(plan, id, ctx) {
             // Batch→row adapter: compact selected lanes into rows only at
@@ -3039,7 +3063,11 @@ fn execute_adaptive_shuffled_join(
             BuildSide::Left => (&mut lmat, &lchild, &bound_left_keys),
         };
         if mat_slot.is_none() {
-            *mat_slot = Some(materialize_join_side(child, keys, partitions)?);
+            let mat = materialize_join_side(child, keys, partitions)?;
+            // A demoted join consumes (or skips) this exchange inside its
+            // own lowering; keep it for attribution like a lowered child.
+            ctx.keep_for_attribution(&mat.read_all());
+            *mat_slot = Some(mat);
         }
         let mat = mat_slot.as_ref().unwrap();
         let measured = mat.total_bytes();

@@ -124,6 +124,14 @@ impl QueryExecution {
     /// attached: every operator meters rows and time into
     /// [`QueryExecution::metrics`] when the RDD executes.
     pub fn to_rdd(&self) -> Result<RddRef<Row>> {
+        Ok(self.lower()?.0)
+    }
+
+    /// [`QueryExecution::to_rdd`], also returning the lowering context.
+    /// It holds every operator's RDD, so each shuffle of the run — also
+    /// one an operator consumed while lowering — keeps its per-shuffle
+    /// stats until the context is dropped.
+    fn lower(&self) -> Result<(RddRef<Row>, ExecContext)> {
         let mut ctx = ExecContext::instrumented(
             self.ctx.spark_context().clone(),
             self.ctx.conf(),
@@ -135,7 +143,8 @@ impl QueryExecution {
         ctx.adaptive = self.adaptive_log.clone();
         ctx.cancel = self.cancel.lock().unwrap().clone();
         *self.mem_pool.lock().unwrap() = Some(ctx.mem.clone());
-        execute(&self.physical, &ctx)
+        let rdd = execute(&self.physical, &ctx)?;
+        Ok((rdd, ctx))
     }
 
     /// Memory-pool counters of the most recent run: `Some` only when the
@@ -189,14 +198,16 @@ impl QueryExecution {
             .clone()
             .map(engine::cancel::install);
         let start = Instant::now();
-        let rows = self
-            .to_rdd()?
+        let (rdd, lowering) = self.lower()?;
+        let rows = rdd
             .try_collect()
             .map_err(|e| CatalystError::Internal(format!("execution failed: {e}")))?;
         let wall_ns = start.elapsed().as_nanos() as u64;
         let recovery =
             RecoveryEvents::delta(&before, &self.ctx.spark_context().metrics().snapshot());
         self.attribute_shuffle_stats();
+        // The run's shuffles are attributed: free their output now.
+        drop((rdd, lowering));
         let memory = self.memory_stats();
         let cache = CacheEvents::delta(
             &cache_before,
@@ -271,13 +282,16 @@ impl QueryExecution {
         Ok(out)
     }
 
-    /// Copy engine-side per-shuffle I/O counters onto the operators that
-    /// allocated each shuffle during lowering, as `shuffle_*` extras.
+    /// Add engine-side per-shuffle I/O counters of this run onto the
+    /// operators that allocated each shuffle during lowering, as
+    /// `shuffle_*` extras. Like rows and times, the extras accumulate
+    /// across runs of this handle; each run's shuffle ids are consumed
+    /// here, since their stats go with the run's RDDs.
     fn attribute_shuffle_stats(&self) {
         let em = self.ctx.spark_context().metrics();
         for id in 0..self.metrics.len() {
             let node = self.metrics.node(id);
-            let sids = node.shuffle_ids();
+            let sids = node.take_shuffle_ids();
             if sids.is_empty() {
                 continue;
             }
@@ -288,9 +302,9 @@ impl QueryExecution {
                 bytes += s.bytes_written;
                 read += s.records_read;
             }
-            node.set_extra("shuffle_records_written", written);
-            node.set_extra("shuffle_bytes_written", bytes);
-            node.set_extra("shuffle_records_read", read);
+            node.add_extra("shuffle_records_written", written);
+            node.add_extra("shuffle_bytes_written", bytes);
+            node.add_extra("shuffle_records_read", read);
         }
     }
 

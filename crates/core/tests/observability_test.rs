@@ -134,13 +134,37 @@ fn query_log_records_instrumented_runs() {
         .any(|(k, v)| k == "shuffle_records_written" && *v > 0)));
 
     let json = ctx.query_log_json();
-    assert!(json.starts_with('[') && json.ends_with(']'), "{json}");
+    assert!(
+        json.starts_with("{\"dropped\":0,\"entries\":[") && json.ends_with("]}"),
+        "{json}"
+    );
     assert!(json.contains("\"wall_ns\":"), "{json}");
     assert!(json.contains("\"operators\":["), "{json}");
 
     ctx.clear_query_log();
     assert!(ctx.query_log().is_empty());
-    assert_eq!(ctx.query_log_json(), "[]");
+    assert_eq!(ctx.query_log_json(), "{\"dropped\":0,\"entries\":[]}");
+}
+
+#[test]
+fn query_log_keeps_the_newest_runs_and_counts_the_rest() {
+    use spark_sql::context::QUERY_LOG_CAPACITY;
+    let ctx = SQLContext::new_local(2);
+    let qe = users(&ctx).query_execution().unwrap();
+    for _ in 0..QUERY_LOG_CAPACITY + 100 {
+        qe.collect().unwrap();
+    }
+    assert_eq!(ctx.query_log().len(), QUERY_LOG_CAPACITY);
+    assert_eq!(ctx.query_log_dropped(), 100);
+    let json = ctx.query_log_json();
+    assert!(
+        json.starts_with("{\"dropped\":100,\"entries\":["),
+        "{}",
+        &json[..64]
+    );
+
+    ctx.clear_query_log();
+    assert_eq!(ctx.query_log_dropped(), 0);
 }
 
 /// Two queries of one session in flight at once: every EXPLAIN ANALYZE

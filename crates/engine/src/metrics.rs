@@ -58,7 +58,7 @@ pub struct Metrics {
     pub executors_lost: AtomicU64,
     /// Cached partitions recomputed from lineage after their block was lost.
     pub cache_recomputes: AtomicU64,
-    /// Per-shuffle I/O, keyed by shuffle id.
+    /// Per-shuffle I/O, keyed by shuffle id, for live shuffles only.
     per_shuffle: Mutex<HashMap<usize, ShuffleStats>>,
 }
 
@@ -103,6 +103,13 @@ impl Metrics {
             .get(&shuffle_id)
             .copied()
             .unwrap_or_default()
+    }
+
+    /// Forget one shuffle's I/O stats. Called when the shuffle itself is
+    /// unregistered, so the table holds only shuffles some RDD can still
+    /// read; the global counters keep their totals.
+    pub fn release_shuffle(&self, shuffle_id: usize) {
+        self.per_shuffle.lock().unwrap().remove(&shuffle_id);
     }
 
     /// Reset every counter to zero (useful between benchmark phases).
@@ -204,6 +211,11 @@ mod tests {
         // The global counters moved in lockstep.
         assert_eq!(Metrics::get(&m.shuffle_records_written), 16);
         assert_eq!(Metrics::get(&m.shuffle_records_read), 15);
+        m.release_shuffle(4);
+        assert_eq!(m.shuffle_stats(4), ShuffleStats::default());
+        assert_eq!(m.shuffle_stats(3).records_read, 15);
+        // Releasing a shuffle does not rewind the global counters.
+        assert_eq!(Metrics::get(&m.shuffle_records_written), 16);
         m.reset();
         assert_eq!(m.shuffle_stats(3), ShuffleStats::default());
     }

@@ -3,19 +3,25 @@
 //! stage, retrying failed tasks up to `max_task_retries`.
 //!
 //! Stage skipping works like Spark's: if a shuffle's map output is
-//! already complete in the [`crate::shuffle::ShuffleManager`] (e.g. an
-//! earlier job computed it), the map stage is not rerun.
+//! already complete in the [`crate::shuffle::ShuffleManager`] (an
+//! earlier job on the same live RDD computed it), the map stage is not
+//! rerun. Output is kept only while some RDD holds the shuffle's
+//! dependency (see [`crate::shuffle`]); an RDD built afresh from the same
+//! lineage allocates a new shuffle and runs its map stage again. A job
+//! holds its shuffle dependencies, and each map task its own, so no
+//! output is freed under a running job.
 //!
 //! Fault recovery follows the lineage protocol:
 //!
 //! * A task that fails outright (panic or injected fault) is retried in
 //!   place, up to `max_task_retries` attempts.
 //! * A task that raises [`FetchFailedSignal`] is *not* retried in place —
-//!   the input it needs is gone. The scheduler unregisters the lost map
-//!   output, resubmits the parent map stage (only its missing
-//!   partitions), and reruns the failed stage. Resubmissions are bounded
-//!   by `max_stage_retries` per shuffle; exhausting them aborts the job
-//!   with [`EngineError::StageRetriesExhausted`].
+//!   the input it needs is gone. The scheduler waits for the attempt's
+//!   other tasks to report, unregisters the lost map output, resubmits
+//!   the parent map stage (only its missing partitions), and reruns the
+//!   failed stage. Resubmissions are bounded by `max_stage_retries` per
+//!   shuffle; exhausting them aborts the job with
+//!   [`EngineError::StageRetriesExhausted`].
 //! * Executor loss (`SparkContext::lose_executor`) drops every bucket
 //!   the executor produced; map stages re-check completeness after
 //!   running so mid-stage losses are recomputed before dependents run.
@@ -113,60 +119,11 @@ fn run_tasks<R: Send + 'static>(
                 partition,
                 attempt,
             };
-            if let Some(inj) = &injector {
-                if inj(FailureSite {
-                    stage_id,
-                    partition,
-                    attempt,
-                }) {
-                    let _ = tx.send((
-                        partition,
-                        attempt,
-                        TaskOutcome::Failed("injected task failure".into()),
-                    ));
-                    return;
-                }
-            }
-            if let Some(chaos) = sc2.chaos() {
-                if let Some(kind) = chaos.task_fault(stage_id, partition, attempt) {
-                    use crate::chaos::FaultKind;
-                    let reason = match kind {
-                        FaultKind::ExecutorDeath => {
-                            // Stolen tasks run on the driver; its blocks
-                            // live under the DRIVER_OWNER slot, so "the
-                            // node running this task" is always killable.
-                            let ex = crate::pool::current_executor()
-                                .unwrap_or(crate::cache::DRIVER_OWNER);
-                            sc2.lose_executor(ex);
-                            format!("chaos: executor {ex} died running stage {stage_id}")
-                        }
-                        _ => "chaos: injected task panic".to_string(),
-                    };
-                    let _ = tx.send((partition, attempt, TaskOutcome::Failed(reason)));
-                    return;
-                }
-            }
-            let start = std::time::Instant::now();
-            let result = catch_unwind(AssertUnwindSafe(|| task(&tc)));
-            Metrics::add(
-                &sc2.metrics().task_time_ns,
-                start.elapsed().as_nanos() as u64,
-            );
-            let outcome = match result {
-                Ok(r) => TaskOutcome::Ok(r),
-                Err(p) => {
-                    if let Some(sig) = p.downcast_ref::<FetchFailedSignal>() {
-                        TaskOutcome::FetchFailed {
-                            shuffle_id: sig.shuffle_id,
-                            map_id: sig.map_id,
-                        }
-                    } else if let Some(sig) = p.downcast_ref::<crate::cancel::CancelSignal>() {
-                        TaskOutcome::Cancelled(sig.reason)
-                    } else {
-                        TaskOutcome::Failed(panic_message(p))
-                    }
-                }
-            };
+            // `run_attempt` consumes the task closure: the RDDs and
+            // shuffle dependencies it holds are released before the
+            // driver hears the outcome, so a finished job leaves nothing
+            // of its lineage alive on the executors.
+            let outcome = run_attempt(&sc2, injector, &tc, task);
             let _ = tx.send((partition, attempt, outcome));
             // Wake the driver's result-wait loop (it blocks on the pool's
             // activity condvar, not on the channel).
@@ -186,12 +143,13 @@ fn run_tasks<R: Send + 'static>(
     let max_retries = sc.conf().max_task_retries;
     let mut results: Vec<Option<R>> = partitions.iter().map(|_| None).collect();
     let mut remaining = partitions.len();
-    // Submitted tasks that have not reported an outcome yet. Cancellation
-    // waits for these to unwind before returning, so a cancelled job's
-    // resources (memory reservations, spill files) are released — not
+    // Submitted tasks that have not reported an outcome yet. An abandoned
+    // attempt (cancelled, or hit a fetch failure) waits for these before
+    // returning, so its resources (memory reservations, spill files, the
+    // lineage and shuffle output its tasks hold) are released — not
     // merely *about to be* released — when the error surfaces.
     let mut outstanding = partitions.len();
-    let drain_on_cancel = |mut outstanding: usize| {
+    let drain = |mut outstanding: usize| {
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while outstanding > 0 && std::time::Instant::now() < deadline {
             let generation = sc.pool().activity_generation();
@@ -199,9 +157,9 @@ fn run_tasks<R: Send + 'static>(
                 outstanding -= 1;
                 continue;
             }
-            // Queued tasks of this stage must still run (each hits its
-            // cancel check at open and unwinds immediately); keep the
-            // pool moving so the drain can't starve itself.
+            // Queued tasks of this stage must still run (a cancelled
+            // one hits its cancel check at open and unwinds at once);
+            // keep the pool moving so the drain can't starve itself.
             if let Some(stolen) = sc.pool().try_steal() {
                 stolen();
                 continue;
@@ -235,7 +193,7 @@ fn run_tasks<R: Send + 'static>(
                 if let Some(reason) = token.state() {
                     // Abandon the stage, but only after in-flight tasks
                     // hit their own cancellation checks and unwind.
-                    drain_on_cancel(outstanding);
+                    drain(outstanding);
                     return Err(StageError::Err(EngineError::Cancelled {
                         reason: reason.describe().to_string(),
                     }));
@@ -258,8 +216,9 @@ fn run_tasks<R: Send + 'static>(
             }
             TaskOutcome::FetchFailed { shuffle_id, map_id } => {
                 // Not a task-level failure: the input is gone. Hand the
-                // stage back for map-stage resubmission; straggler sends
-                // into the dropped channel are harmless.
+                // stage back for map-stage resubmission once the sibling
+                // tasks have reported, so none of them outlives the job.
+                drain(outstanding);
                 return Err(StageError::Fetch { shuffle_id, map_id });
             }
             TaskOutcome::Cancelled(reason) => {
@@ -267,7 +226,7 @@ fn run_tasks<R: Send + 'static>(
                 // stays fired, so a rerun would cancel itself again.
                 // Sibling tasks unwind on their own checks; wait them out
                 // so cancellation implies resources are released.
-                drain_on_cancel(outstanding);
+                drain(outstanding);
                 return Err(StageError::Err(EngineError::Cancelled {
                     reason: reason.describe().to_string(),
                 }));
@@ -290,6 +249,69 @@ fn run_tasks<R: Send + 'static>(
         .into_iter()
         .map(|r| r.expect("task result"))
         .collect())
+}
+
+/// Run one task attempt on the current thread, applying the failure
+/// injector and the chaos plan first. Takes the task closure by value
+/// and drops it before returning.
+fn run_attempt<R>(
+    sc: &SparkContext,
+    injector: Option<crate::context::FailureInjector>,
+    tc: &TaskContext,
+    task: Arc<dyn Fn(&TaskContext) -> R + Send + Sync>,
+) -> TaskOutcome<R> {
+    let TaskContext {
+        stage_id,
+        partition,
+        attempt,
+    } = *tc;
+    if let Some(inj) = &injector {
+        if inj(FailureSite {
+            stage_id,
+            partition,
+            attempt,
+        }) {
+            return TaskOutcome::Failed("injected task failure".into());
+        }
+    }
+    if let Some(chaos) = sc.chaos() {
+        if let Some(kind) = chaos.task_fault(stage_id, partition, attempt) {
+            use crate::chaos::FaultKind;
+            let reason = match kind {
+                FaultKind::ExecutorDeath => {
+                    // Stolen tasks run on the driver; its blocks
+                    // live under the DRIVER_OWNER slot, so "the
+                    // node running this task" is always killable.
+                    let ex = crate::pool::current_executor().unwrap_or(crate::cache::DRIVER_OWNER);
+                    sc.lose_executor(ex);
+                    format!("chaos: executor {ex} died running stage {stage_id}")
+                }
+                _ => "chaos: injected task panic".to_string(),
+            };
+            return TaskOutcome::Failed(reason);
+        }
+    }
+    let start = std::time::Instant::now();
+    let result = catch_unwind(AssertUnwindSafe(|| task(tc)));
+    Metrics::add(
+        &sc.metrics().task_time_ns,
+        start.elapsed().as_nanos() as u64,
+    );
+    match result {
+        Ok(r) => TaskOutcome::Ok(r),
+        Err(p) => {
+            if let Some(sig) = p.downcast_ref::<FetchFailedSignal>() {
+                TaskOutcome::FetchFailed {
+                    shuffle_id: sig.shuffle_id,
+                    map_id: sig.map_id,
+                }
+            } else if let Some(sig) = p.downcast_ref::<crate::cancel::CancelSignal>() {
+                TaskOutcome::Cancelled(sig.reason)
+            } else {
+                TaskOutcome::Failed(panic_message(p))
+            }
+        }
+    }
 }
 
 fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {

@@ -8,6 +8,14 @@
 //! all "executors" share one address space — the in-process analogue of
 //! Spark's shuffle files.
 //!
+//! Map output lives exactly as long as its [`ShuffleDependency`], the
+//! in-process analogue of Spark's `ContextCleaner`. Every RDD that reads
+//! a shuffle, and every running map task, holds an `Arc` of the
+//! dependency; when the last one drops, the dependency unregisters the
+//! shuffle from the [`ShuffleManager`] and releases its per-shuffle
+//! stats. While any reader is alive the output stays, so later jobs on
+//! that RDD skip the map stage.
+//!
 //! Reads go through [`fetch_bucket`]. A missing bucket (dropped by
 //! [`ShuffleManager::remove_output`], an executor loss, or an injected
 //! chaos fault) raises a [`FetchFailedSignal`] panic that the scheduler
@@ -79,28 +87,48 @@ fn install_quiet_fetch_panic_hook() {
 }
 
 /// Stores map-task output buckets, keyed by `(shuffle, map partition)`.
+///
+/// A shuffle's output lives as long as its [`ShuffleDependency`]: the
+/// dependency's `Drop` calls [`ShuffleManager::unregister`], so output
+/// is freed once no RDD can read it any more.
 #[derive(Default)]
 pub struct ShuffleManager {
     state: Mutex<ShuffleState>,
 }
 
+/// One map task's registered output.
+struct MapOutput {
+    /// Per-reducer buckets.
+    bucket: Bucket,
+    /// Serialized bytes per reducer bucket, recorded at write time so
+    /// consumers (adaptive planning, EXPLAIN ANALYZE) see measured sizes
+    /// rather than row counts times a guess.
+    sizes: Vec<u64>,
+    /// Executor that produced the bucket (`usize::MAX` for the driver),
+    /// so losing an executor can drop exactly the outputs it held.
+    owner: usize,
+}
+
 #[derive(Default)]
 struct ShuffleState {
-    /// (shuffle_id, map_id) -> per-reducer buckets.
-    outputs: HashMap<(usize, usize), Bucket>,
-    /// (shuffle_id, map_id) -> serialized bytes per reducer bucket,
-    /// recorded at write time so consumers (adaptive planning, EXPLAIN
-    /// ANALYZE) see measured sizes rather than row counts times a guess.
-    sizes: HashMap<(usize, usize), Vec<u64>>,
-    /// shuffle_id -> completed map partitions.
-    completed: HashMap<usize, HashSet<usize>>,
-    /// (shuffle_id, map_id) -> executor that produced the bucket
-    /// (`usize::MAX` for the driver), so losing an executor can drop
-    /// exactly the outputs it held.
-    owners: HashMap<(usize, usize), usize>,
+    /// shuffle_id -> map_id -> output. A shuffle with no stored output
+    /// has no entry.
+    outputs: HashMap<usize, HashMap<usize, MapOutput>>,
     /// Shuffles that were complete at least once — distinguishes
     /// first-time map stages from recovery recomputation in metrics.
     ever_completed: HashSet<usize>,
+}
+
+impl ShuffleState {
+    /// Unlink one map output, pruning the shuffle's entry once empty.
+    fn remove(&mut self, shuffle_id: usize, map_id: usize) -> Option<MapOutput> {
+        let maps = self.outputs.get_mut(&shuffle_id)?;
+        let out = maps.remove(&map_id);
+        if maps.is_empty() {
+            self.outputs.remove(&shuffle_id);
+        }
+        out
+    }
 }
 
 impl ShuffleManager {
@@ -118,46 +146,52 @@ impl ShuffleManager {
         bucket_bytes: Vec<u64>,
     ) -> bool {
         let owner = crate::pool::current_executor().unwrap_or(usize::MAX);
-        let mut st = self.state.lock();
-        let fresh = st.outputs.insert((shuffle_id, map_id), bucket).is_none();
-        st.sizes.insert((shuffle_id, map_id), bucket_bytes);
-        st.owners.insert((shuffle_id, map_id), owner);
-        st.completed.entry(shuffle_id).or_default().insert(map_id);
-        fresh
+        let out = MapOutput {
+            bucket,
+            sizes: bucket_bytes,
+            owner,
+        };
+        // A replaced output is freed after the lock is released.
+        let replaced = self
+            .state
+            .lock()
+            .outputs
+            .entry(shuffle_id)
+            .or_default()
+            .insert(map_id, out);
+        replaced.is_none()
     }
 
     /// Unregister one map task's output (a fetch failure was observed);
     /// the scheduler then resubmits just the missing map partitions.
     pub fn remove_output(&self, shuffle_id: usize, map_id: usize) {
-        let mut st = self.state.lock();
-        st.outputs.remove(&(shuffle_id, map_id));
-        st.sizes.remove(&(shuffle_id, map_id));
-        st.owners.remove(&(shuffle_id, map_id));
-        if let Some(done) = st.completed.get_mut(&shuffle_id) {
-            done.remove(&map_id);
-        }
+        let removed = self.state.lock().remove(shuffle_id, map_id);
+        drop(removed);
     }
 
     /// Drop every shuffle bucket the given executor produced — the
     /// shuffle half of losing an executor. Returns the ids of shuffles
     /// that lost output.
     pub fn drop_executor(&self, executor: usize) -> Vec<usize> {
-        let mut st = self.state.lock();
-        let lost: Vec<(usize, usize)> = st
-            .owners
-            .iter()
-            .filter(|(_, owner)| **owner == executor)
-            .map(|(key, _)| *key)
-            .collect();
-        for key in &lost {
-            st.outputs.remove(key);
-            st.sizes.remove(key);
-            st.owners.remove(key);
-            if let Some(done) = st.completed.get_mut(&key.0) {
-                done.remove(&key.1);
+        let mut removed = Vec::new();
+        let mut shuffles = Vec::new();
+        {
+            let mut st = self.state.lock();
+            let lost: Vec<(usize, usize)> = st
+                .outputs
+                .iter()
+                .flat_map(|(sid, maps)| {
+                    maps.iter()
+                        .filter(|(_, out)| out.owner == executor)
+                        .map(|(map_id, _)| (*sid, *map_id))
+                })
+                .collect();
+            for (sid, map_id) in lost {
+                removed.extend(st.remove(sid, map_id));
+                shuffles.push(sid);
             }
         }
-        let mut shuffles: Vec<usize> = lost.into_iter().map(|(sid, _)| sid).collect();
+        drop(removed);
         shuffles.sort_unstable();
         shuffles.dedup();
         shuffles
@@ -167,9 +201,9 @@ impl ShuffleManager {
     /// `num_maps` total.
     pub fn missing_maps(&self, shuffle_id: usize, num_maps: usize) -> Vec<usize> {
         let st = self.state.lock();
-        let done = st.completed.get(&shuffle_id);
+        let done = st.outputs.get(&shuffle_id);
         (0..num_maps)
-            .filter(|m| !done.is_some_and(|s| s.contains(m)))
+            .filter(|m| !done.is_some_and(|maps| maps.contains_key(m)))
             .collect()
     }
 
@@ -184,25 +218,19 @@ impl ShuffleManager {
     /// at least one map task of the shuffle has reported.
     pub fn map_output_sizes(&self, shuffle_id: usize) -> Vec<Vec<u64>> {
         let st = self.state.lock();
-        let mut map_ids: Vec<usize> = st
-            .completed
-            .get(&shuffle_id)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        map_ids.sort_unstable();
-        map_ids
-            .iter()
-            .filter_map(|m| st.sizes.get(&(shuffle_id, *m)).cloned())
-            .collect()
+        let Some(maps) = st.outputs.get(&shuffle_id) else {
+            return Vec::new();
+        };
+        let mut sized: Vec<(usize, &Vec<u64>)> =
+            maps.iter().map(|(m, out)| (*m, &out.sizes)).collect();
+        sized.sort_unstable_by_key(|(m, _)| *m);
+        sized.into_iter().map(|(_, sizes)| sizes.clone()).collect()
     }
 
     /// Fetch the output of one map task, if present.
     pub fn get(&self, shuffle_id: usize, map_id: usize) -> Option<Bucket> {
-        self.state
-            .lock()
-            .outputs
-            .get(&(shuffle_id, map_id))
-            .cloned()
+        let st = self.state.lock();
+        Some(st.outputs.get(&shuffle_id)?.get(&map_id)?.bucket.clone())
     }
 
     /// True when every one of `num_maps` map partitions has reported.
@@ -210,40 +238,42 @@ impl ShuffleManager {
     pub fn is_complete(&self, shuffle_id: usize, num_maps: usize) -> bool {
         let mut st = self.state.lock();
         let complete = st
-            .completed
+            .outputs
             .get(&shuffle_id)
-            .is_some_and(|s| s.len() >= num_maps);
+            .is_some_and(|maps| maps.len() >= num_maps);
         if complete {
             st.ever_completed.insert(shuffle_id);
         }
         complete
     }
 
-    /// Drop all output of one shuffle. The next job that needs it finds
-    /// the shuffle incomplete and reruns its map stage from lineage
-    /// (`scheduler::ensure_shuffles`); a concurrent reader instead hits a
-    /// [`FetchFailedSignal`] and the scheduler resubmits the map stage.
-    pub fn invalidate(&self, shuffle_id: usize) {
-        let mut st = self.state.lock();
-        st.outputs.retain(|(sid, _), _| *sid != shuffle_id);
-        st.sizes.retain(|(sid, _), _| *sid != shuffle_id);
-        st.owners.retain(|(sid, _), _| *sid != shuffle_id);
-        st.completed.remove(&shuffle_id);
+    /// Forget a shuffle: its output and its completion record. Called
+    /// when the last handle on its [`ShuffleDependency`] drops, so no
+    /// RDD can read the shuffle again. The buckets are freed after the
+    /// lock is released, so other shuffles' `put`/`get` never wait on the
+    /// deallocation.
+    pub fn unregister(&self, shuffle_id: usize) {
+        let removed = {
+            let mut st = self.state.lock();
+            st.ever_completed.remove(&shuffle_id);
+            st.outputs.remove(&shuffle_id)
+        };
+        drop(removed);
     }
 
-    /// Drop every shuffle output in the context.
+    /// Drop every shuffle output in the context. The next job that needs
+    /// one finds it incomplete and reruns its map stage from lineage
+    /// (`scheduler::ensure_shuffles`); a concurrent reader instead hits a
+    /// [`FetchFailedSignal`] and the scheduler resubmits the map stage.
     pub fn invalidate_all(&self) {
-        let mut st = self.state.lock();
-        st.outputs.clear();
-        st.sizes.clear();
-        st.owners.clear();
-        st.completed.clear();
+        let removed = std::mem::take(&mut self.state.lock().outputs);
+        drop(removed);
     }
 
     /// Ids of all shuffles with at least one stored output.
     pub fn known_shuffles(&self) -> Vec<usize> {
         let st = self.state.lock();
-        let mut ids: Vec<usize> = st.completed.keys().copied().collect();
+        let mut ids: Vec<usize> = st.outputs.keys().copied().collect();
         ids.sort_unstable();
         ids
     }
@@ -317,6 +347,16 @@ pub struct ShuffleDependency<K: Data, V: Data, C: Data> {
     map_side_combine: bool,
     size_fn: Option<SizeFn<K, C>>,
     ctx: SparkContext,
+}
+
+/// The dependency owns its shuffle's map output: when the last handle
+/// goes (every RDD reading the shuffle, and every task running its map
+/// side, is gone), the output and its per-shuffle stats are released.
+impl<K: Data, V: Data, C: Data> Drop for ShuffleDependency<K, V, C> {
+    fn drop(&mut self) {
+        self.ctx.shuffle_manager().unregister(self.shuffle_id);
+        self.ctx.metrics().release_shuffle(self.shuffle_id);
+    }
 }
 
 impl<K, V, C> ShuffleDependency<K, V, C>
@@ -473,7 +513,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn manager_roundtrip_and_invalidate() {
+    fn manager_roundtrip_and_unregister() {
         let m = ShuffleManager::default();
         let buckets: Vec<Vec<(i64, i64)>> = vec![vec![(1, 2)], vec![]];
         m.put(7, 0, Arc::new(buckets), vec![16, 0]);
@@ -481,10 +521,12 @@ mod tests {
         assert!(m.is_complete(7, 1));
         assert!(!m.is_complete(7, 2));
         assert_eq!(m.map_output_sizes(7), vec![vec![16, 0]]);
-        m.invalidate(7);
+        m.unregister(7);
         assert!(m.get(7, 0).is_none());
         assert!(!m.is_complete(7, 1));
+        assert!(!m.ever_complete(7));
         assert!(m.map_output_sizes(7).is_empty());
+        assert!(m.known_shuffles().is_empty());
     }
 
     #[test]
@@ -512,6 +554,26 @@ mod tests {
         assert!(!m.put(1, 0, Arc::new(Vec::<Vec<(i64, i64)>>::new()), vec![]));
         m.remove_output(1, 0);
         assert!(m.put(1, 0, Arc::new(Vec::<Vec<(i64, i64)>>::new()), vec![]));
+    }
+
+    #[test]
+    fn known_shuffles_lists_only_shuffles_with_stored_output() {
+        let m = ShuffleManager::default();
+        let empty = || Arc::new(Vec::<Vec<(i64, i64)>>::new()) as Bucket;
+        m.put(1, 0, empty(), vec![]);
+        m.put(2, 0, empty(), vec![]);
+        m.put(2, 1, empty(), vec![]);
+        assert_eq!(m.known_shuffles(), vec![1, 2]);
+        // Losing the last map output of a shuffle forgets the shuffle...
+        m.remove_output(1, 0);
+        assert_eq!(m.known_shuffles(), vec![2]);
+        m.remove_output(2, 0);
+        assert_eq!(m.known_shuffles(), vec![2]);
+        // ...whether it went by fetch failure or by executor loss.
+        let owner = crate::pool::current_executor().unwrap_or(usize::MAX);
+        assert_eq!(m.drop_executor(owner), vec![2]);
+        assert!(m.known_shuffles().is_empty());
+        assert!(m.drop_executor(owner).is_empty());
     }
 
     #[test]

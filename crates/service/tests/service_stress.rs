@@ -82,6 +82,7 @@ fn sixteen_clients_get_library_identical_results() {
     let root = root_with_tables();
     // Single-session library baseline, before the service exists.
     let expected: Vec<String> = SHAPES.iter().map(|q| library_encoding(&root, q)).collect();
+    let sc = root.spark_context().clone();
     let mut server = SqlServer::start(root).unwrap();
     let addr = server.addr();
     let expected = Arc::new(expected);
@@ -105,6 +106,8 @@ fn sixteen_clients_get_library_identical_results() {
     for h in handles {
         h.join().unwrap();
     }
+    // Every statement has replied: none of their shuffle output is left.
+    assert!(sc.shuffle_manager().known_shuffles().is_empty());
     server.stop();
 }
 

@@ -112,7 +112,11 @@ pub mod channel {
         fn drop(&mut self) {
             if self.0.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
                 // Last sender gone: wake every blocked receiver so they
-                // can observe disconnection.
+                // can observe disconnection. A receiver that still saw a
+                // live sender holds the queue lock until it is parked in
+                // `wait`; taking the lock first makes sure the wake-up
+                // cannot fall between its check and its wait and be lost.
+                drop(self.0.queue.lock().unwrap_or_else(PoisonError::into_inner));
                 self.0.ready.notify_all();
             }
         }
